@@ -94,7 +94,7 @@ func BenchmarkFig10Trace(b *testing.B) {
 
 func BenchmarkSimplexTransportation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := lp.NewProblem(4)
+		p := lp.NewBoundedProblem(4)
 		for j, c := range []float64{1, 2, 3, 1} {
 			p.SetObjective(j, c)
 		}
@@ -102,7 +102,7 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 		p.AddConstraint(map[int]float64{2: 1, 3: 1}, lp.EQ, 20)
 		p.AddConstraint(map[int]float64{0: 1, 2: 1}, lp.EQ, 15)
 		p.AddConstraint(map[int]float64{1: 1, 3: 1}, lp.EQ, 15)
-		if _, err := lp.Solve(p); err != nil {
+		if _, err := lp.SolveBounded(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,8 +112,8 @@ func BenchmarkILPSoCLTiny(b *testing.B) {
 	in := benchInstance(3, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCL(in)
-		if _, err := ilp.Solve(m, ilp.Options{TimeLimit: 30 * time.Second}); err != nil {
+		m, _ := ilp.BuildSoCLBounded(in)
+		if _, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: 30 * time.Second}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,10 +129,9 @@ func BenchmarkOptExactSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkOptSolve compares the exact solver across search backends: the
-// naive serial reference, the deterministic engine on one worker, and the
-// engine at GOMAXPROCS. On a single-core runner the last two coincide; the
-// parallel speedup is only observable on a multicore runner.
+// BenchmarkOptSolve compares the exact solver's engine on one worker and at
+// GOMAXPROCS. On a single-core runner the two coincide; the parallel speedup
+// is only observable on a multicore runner.
 func BenchmarkOptSolve(b *testing.B) {
 	in := benchInstance(8, 10, 1)
 	run := func(b *testing.B, o opt.Options) {
@@ -144,14 +143,12 @@ func BenchmarkOptSolve(b *testing.B) {
 			}
 		}
 	}
-	b.Run("naive", func(b *testing.B) { run(b, opt.Options{Naive: true}) })
 	b.Run("serial", func(b *testing.B) { run(b, opt.Options{Workers: 1}) })
 	b.Run("parallel", func(b *testing.B) { run(b, opt.Options{}) })
 }
 
-// BenchmarkILPSolve compares the generic bounded MIP solver across search
-// backends (same axes as BenchmarkOptSolve). The bounded model also
-// exercises the warm-started node LPs.
+// BenchmarkILPSolve runs the generic bounded MIP solver on the same axes as
+// BenchmarkOptSolve; it also exercises the warm-started node LPs.
 func BenchmarkILPSolve(b *testing.B) {
 	in := benchInstance(4, 4, 1)
 	run := func(b *testing.B, o ilp.Options) {
@@ -164,7 +161,6 @@ func BenchmarkILPSolve(b *testing.B) {
 			}
 		}
 	}
-	b.Run("naive", func(b *testing.B) { run(b, ilp.Options{Naive: true}) })
 	b.Run("serial", func(b *testing.B) { run(b, ilp.Options{Workers: 1}) })
 	b.Run("parallel", func(b *testing.B) { run(b, ilp.Options{}) })
 }
@@ -328,8 +324,8 @@ func BenchmarkAblationGenericILP(b *testing.B) {
 	in := benchInstance(3, 3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCL(in)
-		if _, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
+		m, _ := ilp.BuildSoCLBounded(in)
+		if _, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -406,19 +402,8 @@ func BenchmarkSimSlot(b *testing.B) {
 	}
 }
 
-// Ablation 5: row-based vs bounded-variable MILP encodings of the same
-// SoCL ILP (binary bounds as rows vs as variable bounds).
-func BenchmarkAblationILPRowBased(b *testing.B) {
-	in := benchInstance(5, 6, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCL(in)
-		if _, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// Ablation 5: the bounded-variable MILP encoding of the SoCL ILP (binaries
+// as variable bounds, not rows) on a mid-size instance.
 func BenchmarkAblationILPBounded(b *testing.B) {
 	in := benchInstance(5, 6, 5)
 	b.ResetTimer()

@@ -146,15 +146,10 @@ func runBenchJSON(dir string, workers int) error {
 				mustRunSharded(shardedIn, shardedPlan, cfg)
 			}
 		}},
-		// Exact-solver stack (the Fig2/Fig7 OPT columns): naive serial
-		// reference vs the deterministic engine at one worker vs the engine
-		// at the configured worker count. On a single-core runner the last
-		// two coincide — the parallel speedup needs a multicore runner.
-		{"OptSolveNaive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Naive: true})
-			}
-		}},
+		// Exact-solver stack (the Fig2/Fig7 OPT columns): the deterministic
+		// engine at one worker vs the engine at the configured worker count.
+		// On a single-core runner the two coincide — the parallel speedup
+		// needs a multicore runner.
 		{"OptSolveSerial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: 1})
@@ -163,13 +158,6 @@ func runBenchJSON(dir string, workers int) error {
 		{"OptSolveParallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: workers})
-			}
-		}},
-		// Same solve on the retired fixed-frontier scheduler: the difference
-		// against OptSolveParallel is the work-stealing win on skewed trees.
-		{"OptSolveParallelStatic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: workers, StaticFrontier: true})
 			}
 		}},
 		{"ChaosRepair", func(b *testing.B) {
@@ -184,11 +172,6 @@ func runBenchJSON(dir string, workers int) error {
 				repair.Run(chaosIn, chaosMask, chaosP, cfg)
 			}
 		}},
-		{"ILPSolveNaive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Naive: true})
-			}
-		}},
 		{"ILPSolveSerial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: 1})
@@ -197,18 +180,6 @@ func runBenchJSON(dir string, workers int) error {
 		{"ILPSolveParallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: workers})
-			}
-		}},
-		{"ILPSolveParallelStatic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: workers, StaticFrontier: true})
-			}
-		}},
-		// Serial solve on the dense tableau engine: the gap against
-		// ILPSolveSerial is the sparse revised-simplex win per node LP.
-		{"ILPSolveSerialDense", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: 1, DenseLP: true})
 			}
 		}},
 	}

@@ -7,8 +7,8 @@
 // A "spawned region" is the body of a `go func(){...}`, a function literal
 // argument of the spawned call, or a function literal passed in a
 // concurrent parameter position of a goroutine-spawning callee (worker-pool
-// callbacks like experiments.runSweep's fn or the ilp engine's runFrontier
-// process — the cross-function fact comes from the summary pass). Inside a
+// callbacks like experiments.runSweep's fn or bb.Run's process — the
+// cross-function fact comes from the summary pass). Inside a
 // region the analyzer reports:
 //
 //   - assignments and ++/-- through variables captured from the enclosing
@@ -27,8 +27,8 @@
 //   - references to an enclosing loop's iteration variable that are not
 //     rebound or passed as arguments. Go ≥ 1.22 scopes iteration variables
 //     per iteration, so today this is a latent rather than live race — but
-//     the repo's worker pools pass indices explicitly (see runFrontier's
-//     `go func(worker int)`), and the same shape silently races under any
+//     the repo's worker pools pass indices explicitly (see bb.Run's
+//     `go func(id int)`), and the same shape silently races under any
 //     pre-1.22 toolchain, so the style is banned outright.
 //
 // Writes between a Lock/RLock call and a later (or deferred) Unlock/RUnlock

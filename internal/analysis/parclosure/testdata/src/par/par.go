@@ -39,9 +39,8 @@ func badSharedCounter(n int) int {
 	return total
 }
 
-// claimRace is the ilp runFrontier shape with the atomic cursor replaced by
-// a captured int — the race the engine's atomic.Int64 cursor exists to
-// prevent.
+// claimRace is an atomic-cursor worker pool with the cursor replaced by a
+// captured int — the race an atomic.Int64 cursor exists to prevent.
 func claimRace(frontier []int) {
 	next := 0
 	var wg sync.WaitGroup
@@ -141,8 +140,8 @@ func goodIndexed(n int) []int {
 	return out
 }
 
-// goodLoopParam passes the loop variable as an argument, the runFrontier
-// idiom (`go func(worker int) {...}(wi)`).
+// goodLoopParam passes the loop variable as an argument, the bb.Run idiom
+// (`go func(id int) {...}(i)`).
 func goodLoopParam(out []int) {
 	var wg sync.WaitGroup
 	for w := 0; w < len(out); w++ {

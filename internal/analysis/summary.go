@@ -9,7 +9,7 @@
 //   - whether it spawns goroutines, directly or through any callee;
 //   - which function-typed parameters it invokes (or lets escape) inside a
 //     spawned goroutine — the worker-pool-callback fact that lets parclosure
-//     treat a closure passed to runSweep/runFrontier exactly like the body
+//     treat a closure passed to runSweep/bb.Run exactly like the body
 //     of a `go func`;
 //   - whether RNG state flows out of it: a *math/rand.Rand return, or a
 //     return value derived from stats.SplitSeed.

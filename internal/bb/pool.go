@@ -1,8 +1,7 @@
 // Package bb is the deterministic work-stealing pool behind the parallel
-// branch-and-bound engines (internal/ilp, internal/opt). It replaces the
-// fixed-frontier scheme — a serial breadth-first expansion to 64 subtree
-// roots drained through an atomic cursor — whose static split leaves workers
-// idle on skewed trees (DESIGN.md §14).
+// branch-and-bound engines (internal/ilp, internal/opt). Stealing is what
+// keeps workers busy on skewed trees, where a static split of the tree into
+// a fixed set of subtree roots leaves them idle (DESIGN.md §14).
 //
 // Structure:
 //

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/lp"
+	"repro/internal/opt"
 	"repro/internal/stats"
 )
 
@@ -65,14 +66,15 @@ func TestBoundedValidate(t *testing.T) {
 	}
 }
 
-// Differential property: bounded B&B matches row-based B&B on random binary
-// programs.
+// Differential property: the bounded-variable encoding (binaries as [0,1]
+// bounds) and the row encoding of the same binary program (x ≤ 1 as explicit
+// rows over x ≥ 0) must solve to the same status and objective.
 func TestBoundedMIPMatchesRowBasedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := stats.NewRand(seed)
 		n := 4 + r.Intn(4)
 		pb := lp.NewBoundedProblem(n)
-		pr := lp.NewProblem(n)
+		pr := lp.NewBoundedProblem(n)
 		for j := 0; j < n; j++ {
 			c := math.Round((r.Float64()*20-10)*4) / 4
 			pb.SetObjective(j, c)
@@ -94,7 +96,7 @@ func TestBoundedMIPMatchesRowBasedProperty(t *testing.T) {
 			integer[j] = true
 		}
 		rb, err1 := SolveBounded(&BoundedMIP{Prob: pb, Integer: integer}, Options{})
-		rr, err2 := Solve(&MIP{Prob: pr, Integer: integer}, Options{})
+		rr, err2 := SolveBounded(&BoundedMIP{Prob: pr, Integer: integer}, Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -111,26 +113,26 @@ func TestBoundedMIPMatchesRowBasedProperty(t *testing.T) {
 	}
 }
 
-// The bounded SoCL model must agree with the row-based model and be faster
-// to build/solve on tiny instances.
+// The bounded SoCL model must agree with the specialized exact solver, which
+// optimizes the same star-linearized ILP without any LP, and its solution
+// must cover every requested service.
 func TestBuildSoCLBoundedMatches(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		in := soclInstance(3, 3, seed)
 		mb, vmb := BuildSoCLBounded(in)
-		mr, _ := BuildSoCL(in)
 		rb, err := SolveBounded(mb, Options{TimeLimit: 60 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := Solve(mr, Options{TimeLimit: 60 * time.Second})
+		ro, err := opt.Solve(in, opt.Options{TimeLimit: 60 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rb.Status != Optimal || rr.Status != Optimal {
-			t.Fatalf("seed %d: statuses %v/%v", seed, rb.Status, rr.Status)
+		if rb.Status != Optimal || ro.Status != opt.Optimal {
+			t.Fatalf("seed %d: statuses %v/%v", seed, rb.Status, ro.Status)
 		}
-		if math.Abs(rb.Objective-rr.Objective) > 1e-4 {
-			t.Fatalf("seed %d: bounded %v != row-based %v", seed, rb.Objective, rr.Objective)
+		if math.Abs(rb.Objective-ro.StarObjective) > 1e-4 {
+			t.Fatalf("seed %d: bounded ILP %v != opt %v", seed, rb.Objective, ro.StarObjective)
 		}
 		p := vmb.Placement(rb.X)
 		for _, s := range in.Workload.ServicesUsed() {

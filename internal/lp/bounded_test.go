@@ -141,22 +141,17 @@ func TestBoundedBinaryKnapsackRelaxation(t *testing.T) {
 }
 
 // Differential property test: on random LPs with box bounds, SolveBounded
-// must agree with Solve on the row-based encoding (status and objective).
+// must agree with the dense row-form oracle (status and objective).
 func TestBoundedMatchesRowBasedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := stats.NewRand(seed)
 		n := 2 + r.Intn(4)
 		pb := NewBoundedProblem(n)
-		pr := NewProblem(n)
 		for j := 0; j < n; j++ {
-			c := math.Round((r.Float64()*10-5)*4) / 4
-			pb.SetObjective(j, c)
-			pr.SetObjective(j, c)
+			pb.SetObjective(j, math.Round((r.Float64()*10-5)*4)/4)
 			lo := math.Round(r.Float64()*2*4) / 4
 			up := lo + math.Round((0.5+r.Float64()*4)*4)/4
 			pb.SetBounds(j, lo, up)
-			pr.AddConstraint(map[int]float64{j: 1}, GE, lo)
-			pr.AddConstraint(map[int]float64{j: 1}, LE, up)
 		}
 		rows := 1 + r.Intn(3)
 		for i := 0; i < rows; i++ {
@@ -167,10 +162,9 @@ func TestBoundedMatchesRowBasedProperty(t *testing.T) {
 			rel := []Rel{LE, GE, EQ}[r.Intn(3)]
 			rhs := math.Round((r.Float64()*20-5)*4) / 4
 			pb.AddConstraint(coeffs, rel, rhs)
-			pr.AddConstraint(coeffs, rel, rhs)
 		}
 		sb, err1 := SolveBounded(pb)
-		sr, err2 := Solve(pr)
+		sr, err2 := Solve(rowForm(pb))
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -1,7 +1,7 @@
 package lp
 
-// Sparse revised simplex (DESIGN.md §14). The dense warmTableau maintains the
-// full B⁻¹A matrix and pays O(m·n) per pivot; SoCL's node relaxations are
+// Sparse revised simplex (DESIGN.md §14). A dense tableau maintains the full
+// B⁻¹A matrix and pays O(m·n) per pivot; SoCL's node relaxations are
 // overwhelmingly sparse (each request row touches only the services on its
 // chain), so this engine keeps the constraint matrix in CSC form and
 // represents B⁻¹ as a product-form eta file instead:
@@ -19,9 +19,10 @@ package lp
 //
 // The phase structure, pivot rules (Dantzig with a Bland fallback after
 // maxIters/2, bound flips, the basis-index ratio tie-break) and tolerances
-// mirror warmTableau exactly, so the two engines explore the same vertices up
-// to floating-point rounding; the dense path stays available behind
-// WarmConfig{Dense: true} as the differential reference.
+// mirror the dense warm tableau that the package tests keep as the
+// differential oracle. The two price reduced costs through different
+// arithmetic, so on larger problems ties can resolve to different optimal
+// vertices; statuses and objectives agree (DESIGN.md §14).
 
 import (
 	"math"
@@ -157,8 +158,8 @@ type etaElem struct {
 	ent []etaEntry
 }
 
-// sparseTableau is the revised-simplex counterpart of warmTableau: the same
-// basis/bounds/phase state, but no coefficient matrix — columns are read from
+// sparseTableau is the bounded-variable simplex state: basis, bounds and
+// phase costs, but no coefficient matrix — columns are read from
 // the shared cscMatrix and transformed through the eta file on demand.
 type sparseTableau struct {
 	a *cscMatrix // shared, immutable
@@ -187,15 +188,18 @@ type sparseTableau struct {
 
 	// entArena backs the etaElem.ent slices so pivots don't allocate.
 	// Appending is always safe (shared ent slices end at or before the
-	// current len), but resetting to [:0] is not once a snapshot/restore
-	// holds headers into this array — resetArena abandons it then.
+	// current len), but resetting to [:0] is not once a snapshot holds
+	// headers into this array — resetArena abandons it then. Snapshot sets
+	// arenaShared on the solver it copies; a snapshot itself never resets,
+	// so restoring one (possibly on several workers at once) writes nothing
+	// into it.
 	entArena    []etaEntry
 	arenaShared bool
 
 	iters       int
 	maxIters    int
 	updLimit    int // update etas beyond baseEtas that trigger refactorization
-	updLimitCfg int // WarmConfig.UpdateLimit override (0 = heuristic)
+	updLimitCfg int // updLimit override (0 = heuristic); tests set 1 to refactorize every pivot
 	nnzLimit    int // update fill that triggers refactorization
 	refactors   int // mid-solve refactorization count (tests observe)
 
@@ -266,9 +270,9 @@ func (t *sparseTableau) grow(nTotal, nArt int) {
 // given structural bounds: structurals nonbasic at their lower bound, each
 // row's slack basic when the residual r_i = b_i − Σ a_ij·lo_j has the
 // feasible sign, an artificial column (coefficient sign(r_i)) basic at |r_i|
-// otherwise. This is the native-sign analogue of warmTableau.build's row
-// negation: where the dense build flips a row, this one gives the basic
-// logical column a −1 coefficient, which the initial eta file absorbs.
+// otherwise. Instead of negating a row whose residual has the wrong sign,
+// the basic logical column gets a −1 coefficient, which the initial eta file
+// absorbs.
 func (t *sparseTableau) build(p *BoundedProblem, lower, upper []float64) {
 	a := t.a
 	m := a.m
@@ -383,8 +387,8 @@ func (t *sparseTableau) nonbasicValue(j int) float64 {
 }
 
 // setPhase installs the phase costs (phase 1: Σ artificials; phase 2: the
-// structural objective). Unlike the dense engine there is no objective row to
-// eliminate — reduced costs are priced fresh each iteration.
+// structural objective). There is no objective row to eliminate — reduced
+// costs are priced fresh each iteration.
 func (t *sparseTableau) setPhase(phase1 bool, c []float64) {
 	for j := range t.cost {
 		t.cost[j] = 0
@@ -513,7 +517,9 @@ func (t *sparseTableau) resetArena() {
 }
 
 // iterate runs revised-simplex pivots until optimality, unboundedness, or the
-// iteration cap — warmTableau.iterate with BTRAN pricing and FTRAN columns.
+// iteration cap, with BTRAN pricing and FTRAN columns. The entering column
+// moves away from whichever bound it sits at; ratio tests measure distance to
+// each basic variable's own lower/upper bound.
 func (t *sparseTableau) iterate() Status {
 	m := t.m()
 	blandAfter := t.maxIters / 2
@@ -671,11 +677,13 @@ func (t *sparseTableau) moveAndPivot(enter int, dir, dist float64, leave int, le
 // driveOutArtificials pivots zero-valued basic artificials out after phase 1.
 // The tableau row needed to pick a pivot column is priced as ρ = (B⁻¹)ᵀe_r,
 // then ρᵀA_j per candidate — the revised analogue of scanning the dense row.
-// Nonbasic-at-upper columns are eligible (degenerate pivot entering from the
-// upper bound), and artificial upper bounds are clamped to zero afterwards so
-// a still-basic artificial on a redundant row can never leave zero in
-// phase 2 — same discipline, and the same candidate scan order, as the dense
-// engines, keeping the pivot sequences bitwise aligned.
+// Nonbasic-at-upper columns are eligible (a degenerate pivot entering from
+// the upper bound): skipping them can leave an artificial basic on a row
+// whose only nonzero structural column sits at its upper bound — e.g. an
+// equality that forces a variable exactly to that bound. Any artificial that
+// still cannot be pivoted out (redundant row) is then pinned by clamping
+// every artificial's upper bound to zero, so the phase-2 ratio test can never
+// move one off zero and silently break feasibility.
 func (t *sparseTableau) driveOutArtificials() {
 	m := t.m()
 	for r := 0; r < m; r++ {
@@ -870,7 +878,8 @@ func (t *sparseTableau) residualNorm() float64 {
 }
 
 // copyFrom deep-copies src's state into t, reusing t's storage. The cscMatrix
-// and eta entry slices are shared — both are immutable once built.
+// and eta entry slices are shared — both are immutable once built — and src
+// is only read.
 func (t *sparseTableau) copyFrom(src *sparseTableau) {
 	t.a = src.a
 	t.nStruct, t.nSlack = src.nStruct, src.nSlack
@@ -888,7 +897,6 @@ func (t *sparseTableau) copyFrom(src *sparseTableau) {
 	copy(t.lsign, src.lsign)
 	t.artCols = append(t.artCols[:0], src.artCols...)
 	t.etas = append(t.etas[:0], src.etas...)
-	src.arenaShared = true
 	t.baseEtas, t.etaNNZ = src.baseEtas, src.etaNNZ
 	t.iters, t.maxIters = src.iters, src.maxIters
 	t.updLimit, t.updLimitCfg = src.updLimit, src.updLimitCfg
@@ -896,114 +904,20 @@ func (t *sparseTableau) copyFrom(src *sparseTableau) {
 	t.refactors = src.refactors
 }
 
-// --- WarmSolver sparse path ---
-
-// solveSparseWithBounds is SolveWithBounds' sparse branch: warm resume when
-// the previous Optimal basis survives the bound change, cold two-phase solve
-// otherwise. Control flow mirrors the dense branch exactly.
-func (w *WarmSolver) solveSparseWithBounds(lower, upper []float64) (Solution, error) {
-	if w.ready {
-		w.sp.iters = 0
-		resumed := w.warmApplySparse(lower, upper)
-		if resumed {
-			w.Stats.Warm++
-		} else if w.sp.dualResume() {
-			// Bound tightening broke primal feasibility but dual pivots
-			// repaired it on the existing factorization.
-			resumed = true
-			w.Stats.Dual++
-		}
-		if resumed {
-			st := w.sp.iterate()
-			if st == Optimal {
-				return w.extractSparse(), nil
-			}
-			// Unbounded can legitimately appear when bounds were relaxed;
-			// IterLimit means the resumed basis cycled. Either way the tableau
-			// is no longer a usable warm source.
-			w.ready = false
-			return Solution{Status: st, Iters: w.sp.iters}, nil
-		}
-	}
-	w.ready = false
-	w.Stats.Cold++
-	return w.coldSolveSparse(lower, upper)
-}
-
-// warmApplySparse moves the tableau to (lower, upper): nonbasic columns shift
-// to their new bound values, with the basic-value correction applied as one
-// FTRAN of the accumulated column deltas (the dense engine applies each
-// column's delta separately; the batched form is the same linear map). It
-// reports whether the basis is still primal feasible.
-func (w *WarmSolver) warmApplySparse(lower, upper []float64) bool {
-	t := &w.sp
-	m := t.m()
-	acc := t.rhsv
-	for r := 0; r < m; r++ {
-		acc[r] = 0
-	}
-	any := false
-	for j := 0; j < t.nStruct; j++ {
-		nl, nu := lower[j], upper[j]
-		ol, ou := t.lower[j], t.upper[j]
-		//socllint:ignore floateq bound values are copied verbatim between nodes; unchanged bounds compare bitwise equal
-		if nl == ol && nu == ou {
-			continue
-		}
-		if !t.inBasis[j] {
-			oldv, newv := ol, nl
-			if t.atUpper[j] {
-				oldv = ou
-				if math.IsInf(nu, 1) {
-					t.atUpper[j] = false // upper bound vanished; park at lower
-					newv = nl
-				} else {
-					newv = nu
-				}
-			}
-			//socllint:ignore floateq structural zero delta: the bound value was copied, not computed; only a literal move needs the RHS update
-			if d := newv - oldv; d != 0 {
-				any = true
-				t.colAddScaled(j, d, acc)
-			}
-		}
-		t.lower[j], t.upper[j] = nl, nu
-	}
-	if any {
-		t.ftran(acc)
-		for r := 0; r < m; r++ {
-			//socllint:ignore floateq structural zero skip: subtracting 0 never changes bits
-			if acc[r] != 0 {
-				t.val[r] -= acc[r]
-			}
-		}
-	}
-	for r := 0; r < m; r++ {
-		bj := t.basis[r]
-		if t.val[r] < t.lower[bj]-warmFeasTol {
-			return false
-		}
-		if up := t.upper[bj]; !math.IsInf(up, 1) && t.val[r] > up+warmFeasTol {
-			return false
-		}
-		// A basic artificial pushed off zero means the rows themselves became
-		// inconsistent under the new bounds; only phase 1 can decide that.
-		if t.isArt[bj] && t.val[r] > warmFeasTol {
-			return false
-		}
-	}
-	return true
-}
-
-// dualResume is warmTableau.dualResume on the revised simplex: after a bound
-// change broke primal feasibility, drive each violated basic variable to its
-// bound with dual pivots instead of rebuilding. Candidate pivots are priced
-// from ρ = (B⁻¹)ᵀe_r (the revised analogue of reading dense row r) and the
-// reduced costs from one BTRAN of the basic costs; the pivot distance, though,
-// is taken from the FTRANed entering column, whose entries replay the dense
-// engine's row arithmetic bit for bit — so when both engines choose the same
-// pivot the updated basic values stay bitwise identical. Reports whether
-// primal feasibility was restored; false sends the caller to a cold start.
+// dualResume runs bounded-variable dual simplex pivots after warmApply moved
+// the tableau to new bounds and found basic variables outside them — the
+// branch-and-bound hot path, where every child node tightens the bound of a
+// basic fractional variable and so always breaks primal feasibility. The
+// previous Optimal solve left the basis dual feasible, and bound moves do not
+// touch reduced costs, so each violated basic can be driven exactly to its
+// bound by an entering column chosen with the dual ratio test. Pivot
+// selection is deterministic: most-violated row, smallest ratio with
+// first-wins ties. Candidate pivots are priced from ρ = (B⁻¹)ᵀe_r and the
+// reduced costs from one BTRAN of the basic costs; the pivot distance is
+// taken from the FTRANed entering column. Reports whether primal feasibility
+// was restored (the caller then finishes with ordinary primal iterate,
+// usually zero pivots); false means no usable pivot or too many steps, and
+// the caller cold-starts — so a bail costs nothing but the attempt.
 func (t *sparseTableau) dualResume() bool {
 	m := t.m()
 	maxSteps := 4 * (m + t.nTotal)
@@ -1083,7 +997,7 @@ func (t *sparseTableau) dualResume() bool {
 		}
 
 		// w = B⁻¹A_enter: the pivot distance and the eta both come from the
-		// FTRANed column, matching the dense engine's arithmetic exactly.
+		// FTRANed column.
 		w := t.w
 		for i := 0; i < m; i++ {
 			w[i] = 0
@@ -1123,125 +1037,4 @@ func (t *sparseTableau) dualResume() bool {
 		}
 	}
 	return false
-}
-
-// coldSolveSparse rebuilds the tableau from scratch under the given bounds
-// (two phases), reusing storage from previous solves.
-func (w *WarmSolver) coldSolveSparse(lower, upper []float64) (Solution, error) {
-	t := &w.sp
-	t.build(w.base, lower, upper)
-	if t.numArtificial > 0 {
-		t.setPhase(true, nil)
-		st := t.iterate()
-		if st == IterLimit {
-			return Solution{Status: IterLimit, Iters: t.iters}, nil
-		}
-		if t.infeasibility() > warmFeasTol {
-			return Solution{Status: Infeasible, Iters: t.iters}, nil
-		}
-		t.driveOutArtificials()
-	}
-	t.setPhase(false, w.base.Objective)
-	switch t.iterate() {
-	case Unbounded:
-		return Solution{Status: Unbounded, Iters: t.iters}, nil
-	case IterLimit:
-		return Solution{Status: IterLimit, Iters: t.iters}, nil
-	}
-	return w.extractSparse(), nil
-}
-
-// extractSparse reads the structural solution off an Optimal tableau and
-// marks the solver warm-ready; the objective is recomputed from x so warm
-// chains cannot drift (same discipline as the dense extractSolution).
-func (w *WarmSolver) extractSparse() Solution {
-	t := &w.sp
-	x := make([]float64, w.base.NumVars)
-	for j := range x {
-		if t.atUpper[j] && !t.inBasis[j] {
-			x[j] = t.upper[j]
-		} else {
-			x[j] = t.lower[j]
-		}
-	}
-	for r, bj := range t.basis {
-		if bj < len(x) {
-			x[bj] = t.val[r]
-		}
-	}
-	canonZeros(x)
-	obj := 0.0
-	for j, c := range w.base.Objective {
-		obj += c * x[j]
-	}
-	w.ready = true
-	return Solution{Status: Optimal, X: x, Objective: obj, Iters: t.iters}
-}
-
-// FactorizationResidual reports the ∞-norm of the constraint-row residuals at
-// the solver's current basis point (B·x_B = b̃ rearranged into row form), and
-// whether the solver holds a point to check. It is the factorization
-// consistency probe behind invariant.CheckWarmFactorization; it is also valid
-// for the dense engine, where it checks the maintained basic values instead.
-func (w *WarmSolver) FactorizationResidual() (float64, bool) {
-	if !w.ready {
-		return 0, false
-	}
-	if !w.dense {
-		return w.sp.residualNorm(), true
-	}
-	return w.denseResidualNorm(), true
-}
-
-// Refactorizations reports how many mid-solve eta-file rebuilds the sparse
-// engine has performed (always 0 for the dense engine); regression tests use
-// it to pin that the refactorization path is actually exercised.
-func (w *WarmSolver) Refactorizations() int {
-	if w.dense {
-		return 0
-	}
-	return w.sp.refactors
-}
-
-// denseResidualNorm is the dense-engine counterpart of residualNorm: the
-// structural point implied by the tableau (basic values + nonbasic bound
-// positions) is checked against every original constraint row, measuring
-// inequality rows by their violation and equality rows by |Ax−b|.
-func (w *WarmSolver) denseResidualNorm() float64 {
-	t := &w.t
-	x := make([]float64, t.nStruct)
-	for j := 0; j < t.nStruct; j++ {
-		if t.atUpper[j] && !t.inBasis[j] {
-			x[j] = t.upper[j]
-		} else {
-			x[j] = t.lower[j]
-		}
-	}
-	for r, bj := range t.basis {
-		if bj < t.nStruct {
-			x[bj] = t.val[r]
-		}
-	}
-	norm := 0.0
-	for _, c := range w.base.Constraints {
-		s := -c.RHS
-		for j, v := range c.Coeffs {
-			s += v * x[j]
-		}
-		switch c.Rel {
-		case LE:
-			if s > norm {
-				norm = s
-			}
-		case GE:
-			if -s > norm {
-				norm = -s
-			}
-		default:
-			if a := math.Abs(s); a > norm {
-				norm = a
-			}
-		}
-	}
-	return norm
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // reference solves p with the from-scratch bounded solver after substituting
-// the given bounds — the cold reference every warm solve is pinned against.
+// the given bounds — the cold reference every warm solve is pinned against —
+// and checks that cold solve against the dense row-form oracle.
 func reference(t *testing.T, p *BoundedProblem, lower, upper []float64) Solution {
 	t.Helper()
 	q := &BoundedProblem{
@@ -22,6 +23,13 @@ func reference(t *testing.T, p *BoundedProblem, lower, upper []float64) Solution
 	s, err := SolveBounded(q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	o, err := Solve(rowForm(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Status != s.Status || (s.Status == Optimal && math.Abs(o.Objective-s.Objective) > 1e-6) {
+		t.Fatalf("cold solve %v/%v disagrees with the row-form oracle %v/%v", s.Status, s.Objective, o.Status, o.Objective)
 	}
 	return s
 }
@@ -143,13 +151,6 @@ func TestWarmColdMatchesBoundedFixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAgainstReference(t, p, got, lower, upper)
-			one, err := SolveBoundedOverlay(p, lower, upper)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if one.Status != got.Status {
-				t.Fatalf("one-shot status %v != warm-solver status %v", one.Status, got.Status)
-			}
 		})
 	}
 }

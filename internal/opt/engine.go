@@ -1,14 +1,12 @@
 // Parallel branch-and-bound engine for the specialized OPT solver. Same
 // architecture as internal/ilp's engine (DESIGN.md §9, §14): the root of the
 // fixing tree seeds a work-stealing pool (internal/bb); each worker runs the
-// original recursive search over a private copy of the mutable fixing state
-// and, while some other worker is starving, peels off the x=0 sibling of a
-// shallow branch point as a stealable decision prefix. Options.StaticFrontier
-// restores the previous scheduler (serial breadth-first expansion to a fixed
-// frontier, drained through an atomic cursor) as a reference schedule. The
-// incumbent is shared through an atomic best-objective plus a mutex-guarded
-// store with a lexicographic tie-break over the decision vector (along the
-// static branching order, x=1 before x=0 — the order the serial search visits
+// recursive search over a private copy of the mutable fixing state and,
+// while some other worker is starving, peels off the x=0 sibling of a
+// shallow branch point as a stealable decision prefix. The incumbent is
+// shared through an atomic best-objective plus a mutex-guarded store with a
+// lexicographic tie-break over the decision vector (along the static
+// branching order, x=1 before x=0 — the order the serial search visits
 // leaves in), and the bound prune keeps ties alive (cut only when lb exceeds
 // the incumbent by more than model.ObjTol), so every worker count — and every
 // schedule — returns the same placement.
@@ -25,11 +23,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/model"
 )
-
-// frontierTarget is the Options.StaticFrontier expansion size — a fixed
-// constant, not a function of the worker count, so the serial prefix of the
-// search is identical for every Options.Workers value.
-const frontierTarget = 64
 
 // stealDepth caps how deep in the fixing tree a branch point may still be
 // shared with the pool. Below it the x=0 sibling is always explored locally:
@@ -69,7 +62,8 @@ type optEngine struct {
 	aborted atomic.Bool
 }
 
-// solveEngine is the parallel counterpart of (*solver).run.
+// solveEngine runs the search: incumbent seeding, then the whole fixing tree
+// as one seed of the work-stealing pool.
 func solveEngine(in *model.Instance, opts Options) Result {
 	workers := resolveWorkers(opts.Workers)
 	base := newSolver(in, opts)
@@ -96,62 +90,24 @@ func solveEngine(in *model.Instance, opts Options) Result {
 		e.offer(decOfPlacement(base, base.incumbent), base.incumbentObj, base.incumbent.Clone())
 	}
 
-	if opts.StaticFrontier {
-		// Reference scheduler: deterministic breadth-first expansion to the
-		// frontier, run on the base solver (its mutable state is restored
-		// after each node), then an atomic-cursor pool over the roots.
-		queue := []pnode{{}}
-		for len(queue) > 0 && len(queue) < frontierTarget && !e.aborted.Load() {
-			nd := queue[0]
-			queue = queue[1:]
-			applyPrefix(base, nd.dec)
-			queue = append(queue, e.expandNode(base, nd)...)
-			unapplyPrefix(base, nd.dec)
-		}
-
-		if len(queue) > 0 && !e.aborted.Load() {
-			frontier := queue
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for wi := 0; wi < workers; wi++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ws := cloneSearchState(base)
-					for !e.aborted.Load() {
-						i := next.Add(1) - 1
-						if i >= int64(len(frontier)) {
-							return
-						}
-						nd := frontier[i]
-						applyPrefix(ws, nd.dec)
-						e.dfs(ws, len(nd.dec))
-						unapplyPrefix(ws, nd.dec)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	} else {
-		// Work-stealing scheduler: the whole tree is one seed; balance comes
-		// from workers peeling shallow x=0 siblings off their dive while
-		// others starve. Each worker keeps its own fixing-state clone, and a
-		// stolen node replays its decision prefix onto it — the node's search
-		// state depends only on its tree position, never on the schedule.
-		states := make([]*solver, workers)
-		for i := range states {
-			states[i] = cloneSearchState(base)
-		}
-		// bb.Run returns an error only when the process callback does; this
-		// one never fails (limits abort via e.aborted, which is the stop fn).
-		_, _ = bb.Run(workers, []pnode{{}}, e.aborted.Load, func(c *bb.Ctx[pnode], nd pnode) error {
-			ws := states[c.Worker()]
-			applyPrefix(ws, nd.dec)
-			e.stealDFS(c, ws, len(nd.dec))
-			unapplyPrefix(ws, nd.dec)
-			return nil
-		})
+	// Work-stealing scheduler: the whole tree is one seed; balance comes
+	// from workers peeling shallow x=0 siblings off their dive while
+	// others starve. Each worker keeps its own fixing-state clone, and a
+	// stolen node replays its decision prefix onto it — the node's search
+	// state depends only on its tree position, never on the schedule.
+	states := make([]*solver, workers)
+	for i := range states {
+		states[i] = cloneSearchState(base)
 	}
+	// bb.Run returns an error only when the process callback does; this
+	// one never fails (limits abort via e.aborted, which is the stop fn).
+	_, _ = bb.Run(workers, []pnode{{}}, e.aborted.Load, func(c *bb.Ctx[pnode], nd pnode) error {
+		ws := states[c.Worker()]
+		applyPrefix(ws, nd.dec)
+		e.stealDFS(c, ws, len(nd.dec))
+		unapplyPrefix(ws, nd.dec)
+		return nil
+	})
 
 	res := Result{Bound: rootBound}
 	//socllint:ignore detrand elapsed wall time is reported, never branched on
@@ -230,77 +186,12 @@ func (e *optEngine) pruned(s *solver, pos int, lb float64) bool {
 	return false
 }
 
-// expandNode processes one expansion node on the base solver (prefix already
-// applied) and returns its children in the serial visit order (x=1 first).
-func (e *optEngine) expandNode(s *solver, nd pnode) []pnode {
-	if !e.countNode() {
-		return nil
-	}
-	pos := len(nd.dec)
-	lb := s.lowerBound()
-	if math.IsInf(lb, 1) || e.pruned(s, pos, lb) {
-		return nil
-	}
-	if pos == len(s.order) {
-		e.offerFixed(s, lb)
-		return nil
-	}
-	// Every order position is a distinct (service, node) pair, so the slot is
-	// always free here — the serial search's already-fixed skip cannot fire.
-	v := s.order[pos]
-	var children []pnode
-	if s.instCnt[v.si] < s.capSvc[v.si] &&
-		s.storUsed[v.k]+s.phi[v.si] <= s.storCap[v.k]+model.FeasTol &&
-		s.costUsed+s.kappa[v.si] <= s.budget+model.FeasTol {
-		children = append(children, pnode{dec: appendDec(nd.dec, 1)})
-	}
-	if s.instCnt[v.si] > 0 || s.allowCnt[v.si] > 1 {
-		children = append(children, pnode{dec: appendDec(nd.dec, 0)})
-	}
-	return children
-}
-
-// dfs is the worker-side recursive search — the serial dfs with the shared
-// store substituted for the solver-local incumbent fields.
-func (e *optEngine) dfs(s *solver, pos int) {
-	if !e.countNode() {
-		return
-	}
-	lb := s.lowerBound()
-	if math.IsInf(lb, 1) || e.pruned(s, pos, lb) {
-		return
-	}
-	if pos == len(s.order) {
-		e.offerFixed(s, lb)
-		return
-	}
-	v := s.order[pos]
-	if s.fixed[v.si][v.k] != -1 {
-		e.dfs(s, pos+1)
-		return
-	}
-	if s.instCnt[v.si] < s.capSvc[v.si] &&
-		s.storUsed[v.k]+s.phi[v.si] <= s.storCap[v.k]+model.FeasTol &&
-		s.costUsed+s.kappa[v.si] <= s.budget+model.FeasTol {
-		s.fix(v, 1)
-		e.dfs(s, pos+1)
-		s.unfix(v, 1)
-		if e.aborted.Load() {
-			return
-		}
-	}
-	if s.instCnt[v.si] > 0 || s.allowCnt[v.si] > 1 {
-		s.fix(v, 0)
-		e.dfs(s, pos+1)
-		s.unfix(v, 0)
-	}
-}
-
-// stealDFS is dfs with one extra move: at a shallow branch point where both
-// children are feasible and some worker is starving, the x=0 sibling is
-// shared with the pool as a decision prefix (to be replayed on the thief's
-// own state) instead of being explored locally after the x=1 dive. The
-// visit order of what runs locally is exactly dfs's (x=1 first).
+// stealDFS is the worker-side recursive search, with the shared store in
+// place of a solver-local incumbent and one extra move: at a shallow branch
+// point where both children are feasible and some worker is starving, the
+// x=0 sibling is shared with the pool as a decision prefix (to be replayed
+// on the thief's own state) instead of being explored locally after the x=1
+// dive. What runs locally is visited in the serial order (x=1 first).
 func (e *optEngine) stealDFS(c *bb.Ctx[pnode], s *solver, pos int) {
 	if !e.countNode() {
 		return
@@ -470,10 +361,8 @@ func cloneSearchState(s *solver) *solver {
 	}
 	c.storUsed = make([]float64, c.V)
 	c.costUsed = 0
-	c.nodes = 0
 	c.incumbent = model.Placement{}
 	c.incumbentObj = math.Inf(1)
 	c.haveIncumbent = false
-	c.aborted = false
 	return c
 }

@@ -120,8 +120,8 @@ func TestMatchesGenericILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _ := ilp.BuildSoCL(in)
-		resILP, err := ilp.Solve(m, ilp.Options{TimeLimit: 60 * time.Second})
+		m, _ := ilp.BuildSoCLBounded(in)
+		resILP, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: 60 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
