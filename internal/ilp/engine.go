@@ -261,7 +261,9 @@ func solveBoundedEngine(m *BoundedMIP, opt Options) (Result, error) {
 			e.verify(rootSol.X, rootSol.Objective)
 		}
 	} else {
-		down, up := branchBounded(m.Prob.Lower, m.Prob.Upper, bv, rootSol.X[bv], rootSol.Objective)
+		lower := append([]float64(nil), m.Prob.Lower...)
+		upper := append([]float64(nil), m.Prob.Upper...)
+		down, up := branchBounded(lower, upper, bv, rootSol.X[bv], rootSol.Objective)
 		queue = append(queue, down, up)
 	}
 
@@ -279,7 +281,14 @@ func solveBoundedEngine(m *BoundedMIP, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return e.finish(start), nil
+	res := e.finish(start)
+	res.Starts = ws.Stats
+	for _, s := range solvers {
+		res.Starts.Warm += s.Stats.Warm
+		res.Starts.Dual += s.Stats.Dual
+		res.Starts.Cold += s.Stats.Cold
+	}
+	return res, nil
 }
 
 // processNode solves one node. fromSnapshot selects the warm source: true
@@ -383,20 +392,18 @@ func (e *boundedEngine) verify(x []float64, obj float64) {
 }
 
 // branchBounded builds the two children of a node: down tightens the upper
-// bound to floor(xv), up raises the lower bound to floor(xv)+1.
+// bound to floor(xv), up raises the lower bound to floor(xv)+1. down takes
+// ownership of lower and upper (the parent is done with them); only up
+// copies.
 func branchBounded(lower, upper []float64, bv int, xv, lpObj float64) (down, up boundedNode) {
 	fl := math.Floor(xv)
-	down = boundedNode{
-		lower: append([]float64(nil), lower...),
-		upper: append([]float64(nil), upper...),
-		lpObj: lpObj,
-	}
-	down.upper[bv] = fl
 	up = boundedNode{
 		lower: append([]float64(nil), lower...),
 		upper: append([]float64(nil), upper...),
 		lpObj: lpObj,
 	}
 	up.lower[bv] = fl + 1
+	down = boundedNode{lower: lower, upper: upper, lpObj: lpObj}
+	down.upper[bv] = fl
 	return down, up
 }

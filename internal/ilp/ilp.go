@@ -84,6 +84,9 @@ type Result struct {
 	Bound     float64 // proven lower bound on the optimum
 	Nodes     int     // branch-and-bound nodes explored
 	Elapsed   time.Duration
+	// Starts counts the node LP solves by how they started (warm, dual
+	// resume, cold), summed over the root solver and every worker's.
+	Starts lp.WarmStats
 }
 
 const intTol = 1e-6

@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"repro/internal/lp"
+	"repro/internal/model"
+	"repro/internal/msvc"
+	"repro/internal/topology"
 )
 
 // Differential tests pinning the parallel engine against the serial naive
@@ -132,6 +135,42 @@ func TestEngineInfeasibleStatuses(t *testing.T) {
 		}
 		if naive.Status != Infeasible || res.Status != Infeasible {
 			t.Fatalf("status naive=%v engine=%v, want infeasible", naive.Status, res.Status)
+		}
+	}
+}
+
+// fig2Instance builds a Fig. 2 point as the fig2 experiment does.
+func fig2Instance(nodes, users int, seed int64) *model.Instance {
+	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
+	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
+	cfg := msvc.DefaultWorkloadConfig(users)
+	cfg.DeadlineSlack = 0
+	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
+	if err != nil {
+		panic(err)
+	}
+	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+}
+
+// The dual resume repairs the node LPs of the Fig. 2 trees where stand-alone
+// bound flips used to cycle into cold starts: at most the root and one
+// infeasible node cold-start, and the trees keep their sizes.
+func TestFig2NodesResumeWithoutColdStarts(t *testing.T) {
+	for _, c := range []struct {
+		nodes, users int
+		seed         int64
+		bbNodes      int
+	}{{6, 10, 1, 23}, {6, 12, 2, 37}} {
+		m, _ := BuildSoCLBounded(fig2Instance(c.nodes, c.users, c.seed))
+		res, err := SolveBounded(m, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != Optimal || res.Nodes != c.bbNodes {
+			t.Fatalf("%dx%d seed %d: status %v nodes %d, want optimal at %d", c.nodes, c.users, c.seed, res.Status, res.Nodes, c.bbNodes)
+		}
+		if res.Starts.Cold > 2 || res.Starts.Dual == 0 {
+			t.Fatalf("%dx%d seed %d: node LP starts %+v, want ≤ 2 cold and dual resumes in use", c.nodes, c.users, c.seed, res.Starts)
 		}
 	}
 }

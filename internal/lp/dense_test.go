@@ -120,9 +120,9 @@ func (w *denseWarmSolver) warmApply(lower, upper []float64) bool {
 // whether primal feasibility was restored (the caller then finishes with
 // ordinary primal iterate, usually zero pivots); false means no usable pivot
 // or too many steps, and the caller cold-starts — so a bail costs nothing but
-// the attempt. Pivot selection is deterministic (most-violated row, smallest
-// ratio with first-wins ties) and the sparse engine implements the identical
-// rule.
+// the attempt. Every step pivots (no stand-alone bound flips) and pivot
+// selection is deterministic (most-violated row, smallest ratio with
+// first-wins ties); the sparse engine implements the identical rule.
 func (t *warmTableau) dualResume() bool {
 	m := t.m()
 	obj := t.coef[m]
@@ -181,17 +181,9 @@ func (t *warmTableau) dualResume() bool {
 		if enter == -1 {
 			return false // no usable pivot; the cold start decides feasibility
 		}
-		a := dir * row[enter]
-		need := worst / math.Abs(a)
-		if lim := t.upper[enter] - t.lower[enter]; need >= lim {
-			// The entering column exhausts its own interval before the
-			// violation closes: a bound flip makes partial progress and the
-			// next pass re-prices.
-			t.boundFlip(enter, dir)
-			t.iters++
-			continue
-		}
-		t.moveAndPivot(enter, dir, need, r, !below)
+		// Always pivot, as the sparse engine does: an entering column that
+		// overshoots its interval becomes a violated basic for a later step.
+		t.moveAndPivot(enter, dir, worst/math.Abs(dir*row[enter]), r, !below)
 		t.iters++
 	}
 	return false

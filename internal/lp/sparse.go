@@ -29,6 +29,9 @@ import (
 	"sort"
 )
 
+// etaChunk is the minimum entry count of one eta-arena chunk.
+const etaChunk = 4096
+
 // refactorPivTol is the refactorization pivot threshold: a slot whose FTRANed
 // pivot entry is smaller is deferred to a later elimination round.
 const refactorPivTol = 1e-8
@@ -186,13 +189,14 @@ type sparseTableau struct {
 	baseEtas int // etas laid down by the last build/refactorization
 	etaNNZ   int // off-pivot nonzeros appended since then
 
-	// entArena backs the etaElem.ent slices so pivots don't allocate.
-	// Appending is always safe (shared ent slices end at or before the
-	// current len), but resetting to [:0] is not once a snapshot holds
-	// headers into this array — resetArena abandons it then. Snapshot sets
-	// arenaShared on the solver it copies; a snapshot itself never resets,
-	// so restoring one (possibly on several workers at once) writes nothing
-	// into it.
+	// entArena is the current chunk backing the etaElem.ent slices, so
+	// pivots allocate only when a chunk fills (appendEta then starts a new
+	// one and never copies). Appending is always safe (shared ent slices
+	// end at or before the current len), but resetting to [:0] is not once
+	// a snapshot holds headers into this chunk — resetArena abandons it
+	// then. Snapshot sets arenaShared on the solver it copies; a snapshot
+	// itself never resets, so restoring one (possibly on several workers at
+	// once) writes nothing into it.
 	entArena    []etaEntry
 	arenaShared bool
 
@@ -214,56 +218,46 @@ type sparseTableau struct {
 
 func (t *sparseTableau) m() int { return t.a.m }
 
-// grow (re)sizes every array for the given column count, reusing backing
-// storage across rebuilds, and resets the per-column state.
+// growTo returns s resized to n, reusing its backing storage when it fits.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// grow (re)sizes the state arrays for the given column count, reusing
+// backing storage across rebuilds, and resets the per-column state.
 func (t *sparseTableau) grow(nTotal, nArt int) {
 	m := t.a.m
-	growF := func(s []float64, n int) []float64 {
-		if cap(s) < n {
-			return make([]float64, n)
-		}
-		return s[:n]
-	}
-	growI := func(s []int, n int) []int {
-		if cap(s) < n {
-			return make([]int, n)
-		}
-		return s[:n]
-	}
-	growB := func(s []bool, n int) []bool {
-		if cap(s) < n {
-			return make([]bool, n)
-		}
-		return s[:n]
-	}
-	growI32 := func(s []int32, n int) []int32 {
-		if cap(s) < n {
-			return make([]int32, n)
-		}
-		return s[:n]
-	}
-	t.val = growF(t.val, m)
-	t.basis = growI(t.basis, m)
-	t.lower = growF(t.lower, nTotal)
-	t.upper = growF(t.upper, nTotal)
-	t.cost = growF(t.cost, nTotal)
-	t.inBasis = growB(t.inBasis, nTotal)
-	t.atUpper = growB(t.atUpper, nTotal)
-	t.isArt = growB(t.isArt, nTotal)
+	t.val = growTo(t.val, m)
+	t.basis = growTo(t.basis, m)
+	t.lower = growTo(t.lower, nTotal)
+	t.upper = growTo(t.upper, nTotal)
+	t.cost = growTo(t.cost, nTotal)
+	t.inBasis = growTo(t.inBasis, nTotal)
+	t.atUpper = growTo(t.atUpper, nTotal)
+	t.isArt = growTo(t.isArt, nTotal)
 	for j := 0; j < nTotal; j++ {
 		t.inBasis[j] = false
 		t.atUpper[j] = false
 		t.isArt[j] = false
 	}
-	t.lrow = growI32(t.lrow, nTotal-t.nStruct)
-	t.lsign = growF(t.lsign, nTotal-t.nStruct)
-	t.artCols = growI(t.artCols, nArt)[:0]
-	t.w = growF(t.w, m)
-	t.y = growF(t.y, m)
-	t.rhsv = growF(t.rhsv, m)
-	t.perm = growI(t.perm, m)
-	t.basis2 = growI(t.basis2, m)
-	t.rowFree = growB(t.rowFree, m)
+	t.lrow = growTo(t.lrow, nTotal-t.nStruct)
+	t.lsign = growTo(t.lsign, nTotal-t.nStruct)
+	t.artCols = growTo(t.artCols, nArt)[:0]
+}
+
+// growScratch sizes the per-solve scratch vectors. Only a solving tableau
+// needs them; snapshots never get any.
+func (t *sparseTableau) growScratch() {
+	m := t.a.m
+	t.w = growTo(t.w, m)
+	t.y = growTo(t.y, m)
+	t.rhsv = growTo(t.rhsv, m)
+	t.perm = growTo(t.perm, m)
+	t.basis2 = growTo(t.basis2, m)
+	t.rowFree = growTo(t.rowFree, m)
 }
 
 // build constructs the cold initial state for the base problem under the
@@ -279,12 +273,9 @@ func (t *sparseTableau) build(p *BoundedProblem, lower, upper []float64) {
 	t.nStruct = a.n
 	t.nSlack = a.nSlack
 
-	// First pass: residuals and the artificial count. (rhsv is sized here
-	// because grow can only run once the artificial count is known.)
-	if cap(t.rhsv) < m {
-		t.rhsv = make([]float64, m)
-	}
-	resid := t.rhsv[:m]
+	// First pass: residuals and the artificial count.
+	t.growScratch()
+	resid := t.rhsv
 	for i := 0; i < m; i++ {
 		r := a.rhs[i]
 		for k := a.rowp[i]; k < a.rowp[i+1]; k++ {
@@ -486,10 +477,13 @@ func (t *sparseTableau) btran(x []float64) {
 }
 
 // appendEta records the pivot (row r, FTRANed column w) as a new eta. The
-// off-pivot nonzeros land in entArena; a mid-eta reallocation is fine because
-// append copies the whole arena, so the final [start:len] window still holds
-// every entry of this eta.
+// off-pivot nonzeros land in entArena, the current fixed-size chunk; when
+// the chunk might not hold all of them a new one starts, so entries already
+// written — which snapshots may share — are never copied.
 func (t *sparseTableau) appendEta(r int, w []float64) {
+	if cap(t.entArena)-len(t.entArena) < len(w) {
+		t.entArena = make([]etaEntry, 0, max(etaChunk, len(w)))
+	}
 	start := len(t.entArena)
 	for i := range w {
 		//socllint:ignore floateq collecting exact nonzeros of the FTRANed column; near-zeros must be kept to stay bitwise-faithful to dense pivoting
@@ -506,7 +500,7 @@ func (t *sparseTableau) appendEta(r int, w []float64) {
 }
 
 // resetArena clears the eta-entry arena for a fresh factorization, abandoning
-// the backing array when snapshot/restore headers still reference it.
+// the current chunk when snapshot/restore headers still reference it.
 func (t *sparseTableau) resetArena() {
 	if t.arenaShared {
 		t.entArena = nil
@@ -877,9 +871,9 @@ func (t *sparseTableau) residualNorm() float64 {
 	return norm
 }
 
-// copyFrom deep-copies src's state into t, reusing t's storage. The cscMatrix
-// and eta entry slices are shared — both are immutable once built — and src
-// is only read.
+// copyFrom deep-copies src's state (not its scratch) into t, reusing t's
+// storage. The cscMatrix and eta entry slices are shared — both are
+// immutable once built — and src is only read.
 func (t *sparseTableau) copyFrom(src *sparseTableau) {
 	t.a = src.a
 	t.nStruct, t.nSlack = src.nStruct, src.nSlack
@@ -910,7 +904,10 @@ func (t *sparseTableau) copyFrom(src *sparseTableau) {
 // basic fractional variable and so always breaks primal feasibility. The
 // previous Optimal solve left the basis dual feasible, and bound moves do not
 // touch reduced costs, so each violated basic can be driven exactly to its
-// bound by an entering column chosen with the dual ratio test. Pivot
+// bound by an entering column chosen with the dual ratio test. Every step
+// pivots: a stand-alone bound flip would leave the entering column dual
+// infeasible at its opposite bound, and the loop could cycle. An entering
+// column pushed past its own bound is simply the next violated row. Pivot
 // selection is deterministic: most-violated row, smallest ratio with
 // first-wins ties. Candidate pivots are priced from ρ = (B⁻¹)ᵀe_r and the
 // reduced costs from one BTRAN of the basic costs; the pivot distance is
@@ -1020,15 +1017,9 @@ func (t *sparseTableau) dualResume() bool {
 		} else if a <= eps {
 			return false
 		}
-		need := worst / math.Abs(a)
-		if lim := t.upper[enter] - t.lower[enter]; need >= lim {
-			// The entering column exhausts its own interval before the
-			// violation closes: a bound flip makes partial progress.
-			t.boundFlip(enter, dir, w)
-			t.iters++
-			continue
-		}
-		t.moveAndPivot(enter, dir, need, r, !below, w)
+		// Always pivot, even when the step overshoots the entering column's
+		// own interval (see above).
+		t.moveAndPivot(enter, dir, worst/math.Abs(a), r, !below, w)
 		t.iters++
 		if len(t.etas)-t.baseEtas >= t.updLimit || t.etaNNZ > t.nnzLimit {
 			if !t.refactorize() {

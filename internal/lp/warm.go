@@ -292,6 +292,7 @@ func (w *WarmSolver) Restore(s *WarmSnapshot) {
 		return
 	}
 	w.sp.copyFrom(&s.sp)
+	w.sp.growScratch()
 	w.ready = true
 }
 

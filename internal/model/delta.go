@@ -19,7 +19,10 @@ import (
 //     cached routes that executed a chain step on it: shrinking a candidate
 //     set around a still-available argmin cannot change that argmin, and the
 //     DP/greedy tie-breaks (first minimum in ascending node order) are
-//     stable under deletion of non-selected candidates;
+//     stable under deletion of non-selected candidates; a cached unroutable
+//     entry (no route, +Inf) is invalidated only when the removal takes the
+//     service's last instance, which makes the request missing (or
+//     cloud-served) instead;
 //   - adding an instance invalidates every request whose chain contains the
 //     service: a grown candidate set can strictly improve routes that never
 //     touched the old nodes;
@@ -278,7 +281,19 @@ func (d *DeltaEvaluator) invalidate(svc, node int, added bool, dl *Delta) {
 	for _, h := range d.chainReqs[svc] {
 		d.chainGen[h]++ // drop probe memos: their candidate view is stale
 		e := &d.routes[h]
-		if !e.valid || e.nodes == nil {
+		if !e.valid {
+			continue
+		}
+		if e.nodes == nil {
+			// Cloud and missing entries keep their class. An unroutable one
+			// (+Inf, no nodes) does too, unless this removal took svc's last
+			// instance: the request is then missing or cloud-served.
+			if !e.cloud && !e.missing && d.ix.Count(svc) == 0 {
+				if dl != nil {
+					dl.saved = append(dl.saved, routeSave{h, *e})
+				}
+				e.valid = false
+			}
 			continue
 		}
 		chain := d.in.Workload.Requests[h].Chain

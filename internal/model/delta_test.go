@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/msvc"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // assertEvalIdentical compares a delta evaluation against a from-scratch one
@@ -17,7 +19,7 @@ func assertEvalIdentical(t *testing.T, label string, got, want *Evaluation) {
 		t.Fatalf("%s: scalars diverge: objective %v/%v latency %v/%v cost %v/%v",
 			label, got.Objective, want.Objective, got.LatencySum, want.LatencySum, got.Cost, want.Cost)
 	}
-	if got.MissingInstances != want.MissingInstances || got.CloudServed != want.CloudServed ||
+	if got.MissingInstances != want.MissingInstances || got.CloudServed != want.CloudServed || got.Unroutable != want.Unroutable ||
 		got.DeadlineViolated != want.DeadlineViolated || got.StorageViolatedAt != want.StorageViolatedAt ||
 		got.OverBudget != want.OverBudget {
 		t.Fatalf("%s: counters diverge: %+v vs %+v", label, countersOf(got), countersOf(want))
@@ -182,4 +184,48 @@ func TestDeltaEvaluatorRevertTwicePanics(t *testing.T) {
 		}
 	}()
 	de.Revert(dl)
+}
+
+// TestDeltaEvaluatorUnroutableLastInstance pins the removal rule for
+// unroutable entries: a request whose chain is disconnected from every
+// instance is cached with no route, and when a removal takes its service's
+// last instance it must turn missing, as the scratch evaluator counts it.
+func TestDeltaEvaluatorUnroutableLastInstance(t *testing.T) {
+	g := topology.New(4)
+	for i := 0; i < 4; i++ {
+		g.AddNode(float64(i), 0, 10, 5)
+	}
+	for i := 0; i < 2; i++ { // node 3 stays isolated
+		if err := g.AddLink(i, i+1, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Finalize()
+	cat := msvc.NewCatalog()
+	a, _ := cat.Add("a", 100, 2, 1)
+	b, _ := cat.Add("b", 200, 4, 1)
+	cat.AddFlow([]msvc.ServiceID{a, b})
+	in := &Instance{Graph: g, Lambda: 0.5, Budget: 10000, Workload: &msvc.Workload{
+		Catalog: cat,
+		Requests: []msvc.Request{
+			{ID: 0, Home: 0, Chain: []int{a, b}, DataIn: 1, DataOut: 1, EdgeData: []float64{2}, Deadline: math.Inf(1)},
+			{ID: 1, Home: 3, Chain: []int{a}, DataIn: 1, DataOut: 1, Deadline: math.Inf(1)},
+		},
+	}}
+	p := NewPlacement(in.M(), in.V())
+	p.Set(a, 1, true)
+	p.Set(b, 1, true)
+	de := NewDeltaEvaluator(in, p, RouteModeOptimal, 0)
+	if ev := de.Eval(); ev.Unroutable != 1 || ev.MissingInstances != 0 {
+		t.Fatalf("setup: unroutable %d missing %d, want 1 and 0", ev.Unroutable, ev.MissingInstances)
+	}
+	dl := de.Apply(a, 1, false)
+	got := de.Eval()
+	want := in.EvaluateRouted(de.Placement(), RouteModeOptimal, 0)
+	assertEvalIdentical(t, "last-instance removal", got, want)
+	if got.Unroutable != 0 || got.MissingInstances != 2 {
+		t.Fatalf("after removal: unroutable %d missing %d, want 0 and 2", got.Unroutable, got.MissingInstances)
+	}
+	de.Revert(dl)
+	assertEvalIdentical(t, "reverted", de.Eval(), in.EvaluateRouted(de.Placement(), RouteModeOptimal, 0))
 }

@@ -30,6 +30,11 @@ import (
 // decision-prefix copy per push.
 const stealDepth = 24
 
+// boundProbe, when non-nil, sees every visited node's state and bound. Tests
+// set it to check the incremental bound against a from-scratch oracle; it
+// may be called from several workers at once.
+var boundProbe func(s *solver, lb float64)
+
 // resolveWorkers maps the Options.Workers knob to a pool size.
 func resolveWorkers(w int) int {
 	if w > 0 {
@@ -197,6 +202,9 @@ func (e *optEngine) stealDFS(c *bb.Ctx[pnode], s *solver, pos int) {
 		return
 	}
 	lb := s.lowerBound()
+	if boundProbe != nil {
+		boundProbe(s, lb)
+	}
 	if math.IsInf(lb, 1) || e.pruned(s, pos, lb) {
 		return
 	}
@@ -342,8 +350,9 @@ func unapplyPrefix(s *solver, dec []int8) {
 	}
 }
 
-// cloneSearchState gives a worker its own mutable fixing state while sharing
-// every immutable precomputation (demands, bounds, branching order).
+// cloneSearchState gives a worker its own mutable fixing state — the
+// root-state bound cache included — while sharing every immutable
+// precomputation (demands, bounds, branching order). s must be unfixed.
 func cloneSearchState(s *solver) *solver {
 	c := &solver{}
 	*c = *s
@@ -361,6 +370,9 @@ func cloneSearchState(s *solver) *solver {
 	}
 	c.storUsed = make([]float64, c.V)
 	c.costUsed = 0
+	c.floor = append([]float64(nil), s.floor...)
+	c.term = append([]float64(nil), s.term...)
+	c.undo = make([]svcBound, 0, len(s.order))
 	c.incumbent = model.Placement{}
 	c.incumbentObj = math.Inf(1)
 	c.haveIncumbent = false

@@ -115,6 +115,12 @@ type solver struct {
 	allowCnt []int    // nodes still allowed per used service
 	storUsed []float64
 	costUsed float64
+	// Incremental bound state: floor[si] is service si's branch-aware
+	// latency floor and term[si] its bound term under the current fixing;
+	// undo holds the pair each fix replaced, popped by the matching unfix.
+	floor []float64
+	term  []float64
+	undo  []svcBound
 
 	// Seed incumbent from the warm start and the greedy heuristic.
 	incumbent     model.Placement
@@ -226,6 +232,13 @@ func newSolver(in *model.Instance, opts Options) *solver {
 	}
 	s.storUsed = make([]float64, V)
 	s.computePMedianBounds()
+	s.floor = make([]float64, len(s.used))
+	s.term = make([]float64, len(s.used))
+	for si := range s.used {
+		s.floor[si] = s.latencyFloor(si)
+		s.term[si] = s.svcTerm(si)
+	}
+	s.undo = make([]svcBound, 0, len(s.order))
 	return s
 }
 
@@ -319,7 +332,14 @@ func (s *solver) svcLatencyBound(si, n int) float64 {
 
 type varRef struct{ si, k int }
 
+// svcBound is one service's cached (floor, term) pair.
+type svcBound struct{ floor, term float64 }
+
+// fix sets one variable and refreshes its service's cached bound: fixing a
+// node on leaves every floor unchanged, fixing it off changes only that
+// service's floor; the term moves with the instance and allowed counts.
 func (s *solver) fix(v varRef, val int8) {
+	s.undo = append(s.undo, svcBound{s.floor[v.si], s.term[v.si]})
 	s.fixed[v.si][v.k] = val
 	if val == 1 {
 		s.instCnt[v.si]++
@@ -327,9 +347,12 @@ func (s *solver) fix(v varRef, val int8) {
 		s.costUsed += s.kappa[v.si]
 	} else {
 		s.allowCnt[v.si]--
+		s.floor[v.si] = s.latencyFloor(v.si)
 	}
+	s.term[v.si] = s.svcTerm(v.si)
 }
 
+// unfix undoes the matching fix (fixes and unfixes nest).
 func (s *solver) unfix(v varRef, val int8) {
 	s.fixed[v.si][v.k] = -1
 	if val == 1 {
@@ -339,14 +362,73 @@ func (s *solver) unfix(v varRef, val int8) {
 	} else {
 		s.allowCnt[v.si]++
 	}
+	u := s.undo[len(s.undo)-1]
+	s.undo = s.undo[:len(s.undo)-1]
+	s.floor[v.si], s.term[v.si] = u.floor, u.term
 }
 
-// lowerBound computes an admissible bound for the current partial fixing.
-// Per service it takes the best trade over the instance count n — paying
-// λ·κ·n while bounding latency by the larger of the root p-median bound
-// L(n) and the branch-aware min-over-allowed-nodes sum — and adds the
+// latencyFloor is service si's branch-aware latency floor: each demand's
+// best allowed (not fixed-off) node, summed; +Inf when some demand has none.
+func (s *solver) latencyFloor(si int) float64 {
+	fx := s.fixed[si]
+	allowedLat := 0.0
+	for _, d := range s.demands[si] {
+		best := math.Inf(1)
+		for k := 0; k < s.V; k++ {
+			if fx[k] != 0 && d.coef[k] < best {
+				best = d.coef[k]
+			}
+		}
+		if math.IsInf(best, 1) {
+			return best
+		}
+		allowedLat += best
+	}
+	return allowedLat
+}
+
+// svcTerm is service si's bound term: the best trade over the instance count
+// n — paying λ·κ·n while bounding latency by the larger of the root p-median
+// bound L(n) and the cached floor. +Inf when the floor is.
+func (s *solver) svcTerm(si int) float64 {
+	allowedLat := s.floor[si]
+	// Trade over the instance count: at least the committed count, at
+	// least 1, at most the budget cap (or the allowed-node count).
+	nMin := s.instCnt[si]
+	if nMin < 1 {
+		nMin = 1
+	}
+	nMax := s.capSvc[si]
+	if nMax > s.allowCnt[si] {
+		nMax = s.allowCnt[si]
+	}
+	if nMax < nMin {
+		nMax = nMin
+	}
+	best := math.Inf(1)
+	for n := nMin; n <= nMax; n++ {
+		lat := s.svcLatencyBound(si, n)
+		if allowedLat > lat {
+			lat = allowedLat
+		}
+		v := s.lambda*s.kappa[si]*float64(n) + (1-s.lambda)*lat
+		if v < best {
+			best = v
+		}
+		// κ·n grows while lat is already at its floor: once lat ==
+		// allowedLat further n only cost more.
+		//socllint:ignore floateq lat was literally assigned allowedLat above; assignment-equality is exact
+		if lat == allowedLat {
+			break
+		}
+	}
+	return best
+}
+
+// lowerBound is an admissible bound for the current partial fixing: the
 // services' independent optima (a valid relaxation of the budget/storage
-// coupling). Returns +Inf when the partial fixing is already infeasible.
+// coupling), summed in service order from the terms fix keeps current.
+// Returns +Inf when the partial fixing is already infeasible.
 func (s *solver) lowerBound() float64 {
 	// Budget feasibility of the cheapest completion.
 	cost := s.costUsed
@@ -361,55 +443,9 @@ func (s *solver) lowerBound() float64 {
 	if cost > s.budget+model.FeasTol {
 		return math.Inf(1)
 	}
-
 	bound := 0.0
-	for si := range s.used {
-		// Branch-aware latency floor: each demand's best allowed node.
-		fx := s.fixed[si]
-		allowedLat := 0.0
-		for _, d := range s.demands[si] {
-			best := math.Inf(1)
-			for k := 0; k < s.V; k++ {
-				if fx[k] != 0 && d.coef[k] < best {
-					best = d.coef[k]
-				}
-			}
-			if math.IsInf(best, 1) {
-				return math.Inf(1)
-			}
-			allowedLat += best
-		}
-		// Trade over the instance count: at least the committed count, at
-		// least 1, at most the budget cap (or the allowed-node count).
-		nMin := s.instCnt[si]
-		if nMin < 1 {
-			nMin = 1
-		}
-		nMax := s.capSvc[si]
-		if nMax > s.allowCnt[si] {
-			nMax = s.allowCnt[si]
-		}
-		if nMax < nMin {
-			nMax = nMin
-		}
-		best := math.Inf(1)
-		for n := nMin; n <= nMax; n++ {
-			lat := s.svcLatencyBound(si, n)
-			if allowedLat > lat {
-				lat = allowedLat
-			}
-			v := s.lambda*s.kappa[si]*float64(n) + (1-s.lambda)*lat
-			if v < best {
-				best = v
-			}
-			// κ·n grows while lat is already at its floor: once lat ==
-			// allowedLat further n only cost more.
-			//socllint:ignore floateq lat was literally assigned allowedLat above; assignment-equality is exact
-			if lat == allowedLat {
-				break
-			}
-		}
-		bound += best
+	for _, t := range s.term {
+		bound += t
 	}
 	return bound
 }
