@@ -152,15 +152,18 @@ func TestSparseMatchesDenseOnKnapsackChain(t *testing.T) {
 //
 // What holds everywhere: statuses agree exactly and objectives agree within
 // model.ObjTol·max(1, |obj|). The engines price reduced costs through
-// different arithmetic, so degenerate ties can resolve to different optimal
-// vertices: solution vectors differ on warm re-solves and on the SoCL-shaped
-// cases, and branch-and-bound on Fig. 2 ILPs explores different trees with
-// equal objectives. Bitwise equality holds only for the cold first solve of a
-// small dyadic LP, and is pinned there.
+// different arithmetic, so ties can resolve differently: solution vectors
+// differ on warm re-solves and on the SoCL-shaped cases, branch-and-bound on
+// Fig. 2 ILPs explores different trees with equal objectives, and even a
+// cold first solve of a small dyadic LP can reach the optimum along a
+// different pivot path (the named seed below). Bitwise equality is pinned
+// only by the fixture tests above, whose pivot paths are known to agree.
+//
+// The random cases come from a fixed quick.Check stream, so every run checks
+// the same 200 seeds.
 func TestSparseMatchesDenseProperty(t *testing.T) {
-	// lockstep solves one bound move on both engines and checks what holds;
-	// bitwise additionally demands identical bits for objective and x.
-	lockstep := func(sp *WarmSolver, ds *denseWarmSolver, lower, upper []float64, bitwise bool) error {
+	// lockstep solves one bound move on both engines and checks what holds.
+	lockstep := func(sp *WarmSolver, ds *denseWarmSolver, lower, upper []float64) error {
 		a, err := sp.SolveWithBounds(append([]float64(nil), lower...), append([]float64(nil), upper...))
 		if err != nil {
 			return err
@@ -177,17 +180,6 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 		}
 		if math.Abs(a.Objective-b.Objective) > model.ObjTol*math.Max(1, math.Abs(b.Objective)) {
 			return fmt.Errorf("objective sparse=%v dense=%v", a.Objective, b.Objective)
-		}
-		if !bitwise {
-			return nil
-		}
-		if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
-			return fmt.Errorf("cold objective not bitwise: sparse=%v dense=%v", a.Objective, b.Objective)
-		}
-		for j := range a.X {
-			if math.Float64bits(a.X[j]) != math.Float64bits(b.X[j]) {
-				return fmt.Errorf("cold x[%d] not bitwise: sparse=%v dense=%v", j, a.X[j], b.X[j])
-			}
 		}
 		return nil
 	}
@@ -229,14 +221,21 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 					upper[j] = mid
 				}
 			}
-			if err := lockstep(sp, ds, lower, upper, step == 0); err != nil {
+			if err := lockstep(sp, ds, lower, upper); err != nil {
 				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(small, &quick.Config{MaxCount: 200}); err != nil {
+	// On this seed the cold first solve's primal pricing differs after the
+	// first pivot (dense enters column 0, sparse column 2): x[2] is
+	// 0.3750000000000009 sparse and 0.37500000000000067 dense, with the same
+	// status and objective.
+	if !small(-1983050415480509000) {
+		t.Fatal("seed -1983050415480509000: engines disagree beyond status and objective")
+	}
+	if err := quick.Check(small, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +259,7 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 					lower[j] = 1
 				}
 			}
-			if err := lockstep(sp, ds, lower, upper, false); err != nil {
+			if err := lockstep(sp, ds, lower, upper); err != nil {
 				t.Fatalf("SoCL-shaped seed %d step %d: %v", seed, step, err)
 			}
 		}

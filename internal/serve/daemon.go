@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -140,6 +141,16 @@ type Daemon struct {
 	active  []msvc.Request
 	workGen int // bumped on any active-set change
 
+	// Admission index. byID maps an ID to the position of its first live
+	// match in active; extraIDs counts the further live copies of an ID
+	// that arrived while already active (invalid input, kept working).
+	// departed lists the positions admit retired this drain, and gone is
+	// the compaction's scratch mask over them.
+	byID     map[int]int
+	extraIDs map[int]int
+	departed []int
+	gone     []bool
+
 	placement     model.Placement
 	havePlacement bool
 	lastDegraded  int
@@ -182,6 +193,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		cfg:       cfg,
 		mask:      chaos.NewMask(cfg.Graph),
 		placement: model.NewPlacement(cfg.Catalog.Len(), cfg.Graph.N()),
+		byID:      make(map[int]int),
+		extraIDs:  make(map[int]int),
 	}
 	d.policy = cfg.Policy
 	if d.policy == nil {
@@ -401,6 +414,11 @@ func (d *Daemon) finish(rec *EpochRecord) {
 // reports whether the active workload changed. Fault events are staged for
 // the post-planning strike phase; arrivals beyond MaxBatch are deferred to
 // the next epoch.
+//
+// Departs and moves resolve their request through byID, and departs only
+// mark their position: one order-preserving compaction at the end of the
+// drain retires them all, so a drain costs O(events + active) and leaves
+// active exactly as removing each departure in place would.
 func (d *Daemon) admit(rec *EpochRecord) bool {
 	changed := false
 	arrivals := 0
@@ -425,18 +443,23 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 			req.ID = ev.ID
 			req.Chain = append([]int(nil), ev.Req.Chain...)
 			req.EdgeData = append([]float64(nil), ev.Req.EdgeData...)
+			if _, live := d.byID[req.ID]; live {
+				d.extraIDs[req.ID]++
+			} else {
+				d.byID[req.ID] = len(d.active)
+			}
 			d.active = append(d.active, req)
 			arrivals++
 			rec.Arrived++
 			changed = true
 		case EvDepart:
-			if i := d.findActive(ev.ID); i >= 0 {
-				d.active = append(d.active[:i], d.active[i+1:]...)
+			if i, ok := d.byID[ev.ID]; ok {
+				d.retire(ev.ID, i)
 				rec.Departed++
 				changed = true
 			}
 		case EvMove:
-			if i := d.findActive(ev.ID); i >= 0 && d.active[i].Home != ev.Node {
+			if i, ok := d.byID[ev.ID]; ok && d.active[i].Home != ev.Node {
 				d.active[i].Home = ev.Node
 				rec.Moved++
 				changed = true
@@ -444,19 +467,62 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 		}
 	}
 	d.queue = rest
+	d.compact()
 	if changed {
 		d.workGen++
 	}
 	return changed
 }
 
-func (d *Daemon) findActive(id int) int {
-	for i := range d.active {
-		if d.active[i].ID == id {
-			return i
+// retire marks the live request at position i, the first live match for id,
+// departed, and points byID at the next live copy if there is one. Every
+// retired copy of an ID precedes every live one (departs take the first
+// live match; arrivals append), so the next entry with this ID is live.
+func (d *Daemon) retire(id, i int) {
+	d.departed = append(d.departed, i)
+	if d.extraIDs[id] == 0 {
+		delete(d.byID, id)
+		return
+	}
+	if d.extraIDs[id]--; d.extraIDs[id] == 0 {
+		delete(d.extraIDs, id)
+	}
+	for j := i + 1; ; j++ {
+		if d.active[j].ID == id {
+			d.byID[id] = j
+			return
 		}
 	}
-	return -1
+}
+
+// compact drops the positions retired this drain from active, preserving
+// the order of the survivors and re-pointing byID at their new positions.
+func (d *Daemon) compact() {
+	if len(d.departed) == 0 {
+		return
+	}
+	n := len(d.active)
+	d.gone = slices.Grow(d.gone[:0], n)[:n]
+	clear(d.gone)
+	for _, i := range d.departed {
+		d.gone[i] = true
+	}
+	d.departed = d.departed[:0]
+	w := 0
+	for r := range d.active {
+		if d.gone[r] {
+			continue
+		}
+		if w != r {
+			d.active[w] = d.active[r]
+			if id := d.active[w].ID; d.byID[id] == r {
+				d.byID[id] = w
+			}
+		}
+		w++
+	}
+	clear(d.active[w:])
+	d.active = d.active[:w]
 }
 
 // instanceOn builds this epoch's instance on the given substrate view. The

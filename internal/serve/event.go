@@ -31,6 +31,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/chaos"
 	"repro/internal/msvc"
@@ -210,19 +212,81 @@ func FormatEvent(e *Event) (string, error) {
 
 // ParseEventLine parses one event line (arrive/depart/move/fault) produced by
 // FormatEvent. Malformed input returns an error, never panics.
+//
+// Fields are walked in place, split exactly where strings.Fields splits, so
+// parsing a well-formed line allocates only the arrival's Chain and
+// EdgeData.
 func ParseEventLine(line string) (Event, error) {
-	f := strings.Fields(line)
-	if len(f) == 0 {
+	var buf [maxEventFields]string
+	n := splitFields(line, &buf)
+	if n == 0 {
 		return Event{}, fmt.Errorf("serve: empty event line")
 	}
-	return parseEventFields(f)
+	return parseEventFields(buf[:min(n, maxEventFields)], n)
 }
 
-func parseEventFields(f []string) (Event, error) {
+// maxEventFields is the most fields any event line has (arrive's nine).
+const maxEventFields = 9
+
+// splitFields stores the first maxEventFields whitespace-separated fields of
+// line in buf and returns how many fields line has in all. Whitespace is
+// strings.Fields': runs of unicode.IsSpace runes, where an invalid UTF-8
+// byte is U+FFFD and so never space.
+func splitFields(line string, buf *[maxEventFields]string) int {
+	n, i := 0, 0
+	for {
+		for i < len(line) {
+			sp, w := spaceAt(line, i)
+			if !sp {
+				break
+			}
+			i += w
+		}
+		if i == len(line) {
+			return n
+		}
+		start := i
+		for i < len(line) {
+			// Printable ASCII, the bytes of every well-formed field, is
+			// never space.
+			if c := line[i]; c > ' ' && c < utf8.RuneSelf {
+				i++
+				continue
+			}
+			sp, w := spaceAt(line, i)
+			if sp {
+				break
+			}
+			i += w
+		}
+		if n < maxEventFields {
+			buf[n] = line[start:i]
+		}
+		n++
+	}
+}
+
+// spaceAt reports whether s holds a unicode.IsSpace rune at byte i, and the
+// width of the rune there.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return asciiSpace[c], 1
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), w
+}
+
+// asciiSpace is unicode.IsSpace over ASCII.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseEventFields parses an event from its fields. f holds the first
+// fields (all of them when n <= maxEventFields); n is the line's field
+// count, which every arity check uses.
+func parseEventFields(f []string, n int) (Event, error) {
 	switch f[0] {
 	case "arrive":
-		if len(f) != 9 {
-			return Event{}, fmt.Errorf("arrive wants 8 fields, got %d", len(f)-1)
+		if n != 9 {
+			return Event{}, fmt.Errorf("arrive wants 8 fields, got %d", n-1)
 		}
 		ev := Event{Kind: EvArrive}
 		var err error
@@ -244,20 +308,24 @@ func parseEventFields(f []string) (Event, error) {
 		if err != nil {
 			return Event{}, err
 		}
-		for _, c := range strings.Split(f[7], ",") {
-			svc, err := strconv.Atoi(c)
-			if err != nil {
+		ev.Req.Chain = make([]int, strings.Count(f[7], ",")+1)
+		rest := f[7]
+		for t := range ev.Req.Chain {
+			var c string
+			c, rest, _ = strings.Cut(rest, ",")
+			if ev.Req.Chain[t], err = strconv.Atoi(c); err != nil {
 				return Event{}, err
 			}
-			ev.Req.Chain = append(ev.Req.Chain, svc)
 		}
 		if f[8] != "-" {
-			for _, c := range strings.Split(f[8], ",") {
-				v, err := parseF(c)
-				if err != nil {
+			ev.Req.EdgeData = make([]float64, strings.Count(f[8], ",")+1)
+			rest = f[8]
+			for t := range ev.Req.EdgeData {
+				var c string
+				c, rest, _ = strings.Cut(rest, ",")
+				if ev.Req.EdgeData[t], err = parseF(c); err != nil {
 					return Event{}, err
 				}
-				ev.Req.EdgeData = append(ev.Req.EdgeData, v)
 			}
 		}
 		if len(ev.Req.EdgeData) != len(ev.Req.Chain)-1 {
@@ -267,7 +335,7 @@ func parseEventFields(f []string) (Event, error) {
 		ev.Req.ID = ev.ID
 		return ev, nil
 	case "depart", "move":
-		if (f[0] == "depart" && len(f) != 3) || (f[0] == "move" && len(f) != 4) {
+		if (f[0] == "depart" && n != 3) || (f[0] == "move" && n != 4) {
 			return Event{}, fmt.Errorf("%s wants %d fields", f[0], map[string]int{"depart": 2, "move": 3}[f[0]])
 		}
 		ev := Event{Kind: EvDepart}
@@ -286,7 +354,7 @@ func parseEventFields(f []string) (Event, error) {
 		}
 		return ev, nil
 	case "fault":
-		return parseFault(f[1:])
+		return parseFault(f[1:], n-1)
 	default:
 		return Event{}, fmt.Errorf("unknown directive %q", f[0])
 	}
@@ -323,18 +391,19 @@ func ParseScript(r io.Reader) (*Script, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		f := strings.Fields(line)
 		fail := func(err error) (*Script, error) {
 			return nil, fmt.Errorf("serve: script line %d: %w", lineNo, err)
 		}
+		var f [maxEventFields]string
+		n := splitFields(line, &f)
 		if f[0] == "meta" {
-			if err := parseMeta(f[1:], &s.Meta); err != nil {
+			if err := parseMeta(strings.Fields(line)[1:], &s.Meta); err != nil {
 				return fail(err)
 			}
 			sawMeta = true
 			continue
 		}
-		ev, err := parseEventFields(f)
+		ev, err := parseEventFields(f[:min(n, maxEventFields)], n)
 		if err != nil {
 			return fail(err)
 		}
@@ -390,8 +459,10 @@ func parseMeta(kvs []string, m *Meta) error {
 	return nil
 }
 
-func parseFault(f []string) (Event, error) {
-	if len(f) < 3 {
+// parseFault parses a fault event from the fields after the directive; n
+// counts them all, f holds at least the first min(n, 5).
+func parseFault(f []string, n int) (Event, error) {
+	if n < 3 {
 		return Event{}, fmt.Errorf("fault wants at least slot, kind, target")
 	}
 	slot, err := strconv.Atoi(f[0])
@@ -405,7 +476,7 @@ func parseFault(f []string) (Event, error) {
 	ev := Event{Slot: slot, Kind: EvFault, Fault: chaos.Event{Slot: slot, Kind: kind}}
 	switch kind {
 	case chaos.LinkDegrade, chaos.LinkRestore:
-		if len(f) != 5 {
+		if n != 5 {
 			return Event{}, fmt.Errorf("%s wants a b factor", kind)
 		}
 		if ev.Fault.A, err = strconv.Atoi(f[2]); err != nil {
@@ -418,7 +489,7 @@ func parseFault(f []string) (Event, error) {
 			return Event{}, err
 		}
 	case chaos.StorageShrink, chaos.StorageRestore:
-		if len(f) != 4 {
+		if n != 4 {
 			return Event{}, fmt.Errorf("%s wants node factor", kind)
 		}
 		if ev.Fault.Node, err = strconv.Atoi(f[2]); err != nil {
@@ -428,7 +499,7 @@ func parseFault(f []string) (Event, error) {
 			return Event{}, err
 		}
 	default:
-		if len(f) != 3 {
+		if n != 3 {
 			return Event{}, fmt.Errorf("%s wants node", kind)
 		}
 		if ev.Fault.Node, err = strconv.Atoi(f[2]); err != nil {

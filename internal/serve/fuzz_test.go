@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,6 +82,130 @@ func FuzzParseEventLine(f *testing.F) {
 		}
 		if strings.TrimSpace(line) != "" && ev.Kind.String() == "" {
 			t.Fatalf("parsed event has no kind: %+v", ev)
+		}
+	})
+}
+
+// parseEventLineFields is the reference event-line parser ParseEventLine
+// must match: strings.Fields to split the line, strings.Split to split the
+// chain and edge lists.
+func parseEventLineFields(line string) (Event, error) {
+	f := strings.Fields(line)
+	if len(f) == 0 {
+		return Event{}, fmt.Errorf("serve: empty event line")
+	}
+	switch f[0] {
+	case "arrive":
+		if len(f) != 9 {
+			return Event{}, fmt.Errorf("arrive wants 8 fields, got %d", len(f)-1)
+		}
+		ev := Event{Kind: EvArrive}
+		var err error
+		if ev.Slot, err = strconv.Atoi(f[1]); err == nil {
+			ev.ID, err = strconv.Atoi(f[2])
+		}
+		if err == nil {
+			ev.Req.Home, err = strconv.Atoi(f[3])
+		}
+		if err == nil {
+			ev.Req.DataIn, err = parseF(f[4])
+		}
+		if err == nil {
+			ev.Req.DataOut, err = parseF(f[5])
+		}
+		if err == nil {
+			ev.Req.Deadline, err = parseF(f[6])
+		}
+		if err != nil {
+			return Event{}, err
+		}
+		for _, c := range strings.Split(f[7], ",") {
+			svc, err := strconv.Atoi(c)
+			if err != nil {
+				return Event{}, err
+			}
+			ev.Req.Chain = append(ev.Req.Chain, svc)
+		}
+		if f[8] != "-" {
+			for _, c := range strings.Split(f[8], ",") {
+				v, err := parseF(c)
+				if err != nil {
+					return Event{}, err
+				}
+				ev.Req.EdgeData = append(ev.Req.EdgeData, v)
+			}
+		}
+		if len(ev.Req.EdgeData) != len(ev.Req.Chain)-1 {
+			return Event{}, fmt.Errorf("edge data length %d != chain length %d - 1",
+				len(ev.Req.EdgeData), len(ev.Req.Chain))
+		}
+		ev.Req.ID = ev.ID
+		return ev, nil
+	case "depart", "move":
+		if (f[0] == "depart" && len(f) != 3) || (f[0] == "move" && len(f) != 4) {
+			return Event{}, fmt.Errorf("%s wants %d fields", f[0], map[string]int{"depart": 2, "move": 3}[f[0]])
+		}
+		ev := Event{Kind: EvDepart}
+		if f[0] == "move" {
+			ev.Kind = EvMove
+		}
+		var err error
+		if ev.Slot, err = strconv.Atoi(f[1]); err == nil {
+			ev.ID, err = strconv.Atoi(f[2])
+		}
+		if err == nil && ev.Kind == EvMove {
+			ev.Node, err = strconv.Atoi(f[3])
+		}
+		if err != nil {
+			return Event{}, err
+		}
+		return ev, nil
+	case "fault":
+		return parseFault(f[1:], len(f)-1)
+	default:
+		return Event{}, fmt.Errorf("unknown directive %q", f[0])
+	}
+}
+
+// FuzzEventLineDifferential: ParseEventLine, which walks fields in place,
+// accepts and rejects exactly the lines the strings.Fields reference does,
+// with the same error text, and yields the same event bits (%#v prints
+// every float in its shortest round-tripping form and tells nil slices from
+// empty ones). The seeds cover Unicode and invalid-UTF-8 separators and
+// lines with more fields than any event has.
+//
+//	go test -run '^$' -fuzz '^FuzzEventLineDifferential$' -fuzztime 20s ./internal/serve
+func FuzzEventLineDifferential(f *testing.F) {
+	for _, s := range []string{
+		"arrive 0 0 2 0x1p-03 0x1p-04 0x1.4p+03 0,1,2 0x1p-05,0x1p-05",
+		"arrive 0 0 2 NaN -Inf +Inf 7 -",
+		"arrive 0 0 2 1 1 1 1,,2 1,2",
+		"arrive 0 0 2 1 1 1 , -",
+		"arrive 1 2 3 4 5 6 7 8 9 10",
+		"depart 3 17",
+		"\tmove\v3\f17\r4\n",
+		"depart 1 2",
+		"depart　1\u00852",
+		"depart 1\xff 2",
+		"depart\xc2 1 2",
+		"fault 1 link-degrade 0 1 0x1p-02",
+		"fault 1 link-degrade 0 1 0x1p-02 3 4 5 6 7",
+		"fault x node-crash 1 2 3 4 5 6 7 8",
+		"fault 9 storage-restore 3 1",
+		"fault 2 node-recover",
+		" ",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		got, gerr := ParseEventLine(line)
+		want, werr := parseEventLineFields(line)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("%q: error %v, reference %v", line, gerr, werr)
+		}
+		if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); g != w {
+			t.Fatalf("%q: event\n%s\nreference\n%s", line, g, w)
 		}
 	})
 }

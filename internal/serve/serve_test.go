@@ -217,8 +217,8 @@ func TestDaemonBatching(t *testing.T) {
 	}
 	// Deferred arrivals keep admission order: active IDs must be 0..4.
 	for i := 0; i < 5; i++ {
-		if d.findActive(i) != i {
-			t.Fatalf("request %d admitted out of order (index %d)", i, d.findActive(i))
+		if findActive(d.active, i) != i {
+			t.Fatalf("request %d admitted out of order (index %d)", i, findActive(d.active, i))
 		}
 	}
 }

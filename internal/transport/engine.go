@@ -112,12 +112,18 @@ type Engine struct {
 	seen     map[uint64]struct{}
 	buffered []pendingEvent
 
-	debt     int // last epoch's reaction cost, debited from admission capacity
-	stats    Stats
-	waits    []int
-	recorded serve.Script
+	debt  int // last epoch's reaction cost, debited from admission capacity
+	stats Stats
+	waits []int
+	// meta is the session's hello meta; recorded holds the admitted events
+	// in admission order, in chunks of recordChunk that are never copied.
+	meta     serve.Meta
+	recorded [][]serve.Event
 	admitted map[uint64]struct{} // exactly-once audit, soclinvariants only
 }
+
+// recordChunk is the capacity of one recorded-event chunk.
+const recordChunk = 1024
 
 // NewEngine builds an idle engine; the session starts at the hello frame.
 func NewEngine(cfg Config) *Engine {
@@ -153,8 +159,15 @@ func (e *Engine) Finished() bool { return e.finished }
 
 // Recorded returns the admitted event stream as a script: the events in
 // admission order under the session's meta. In an ordered session with no
-// sheds this equals the sent script event for event.
-func (e *Engine) Recorded() *serve.Script { return &e.recorded }
+// sheds this equals the sent script event for event. Each call builds a
+// fresh script.
+func (e *Engine) Recorded() *serve.Script {
+	s := &serve.Script{Meta: e.meta}
+	for _, c := range e.recorded {
+		s.Events = append(s.Events, c...)
+	}
+	return s
+}
 
 // Guard returns the session's GuardedPolicy (nil when the breaker is off).
 func (e *Engine) Guard() *GuardedPolicy { return e.guard }
@@ -288,7 +301,7 @@ func (e *Engine) handleHello(fr Frame) []Frame {
 		return []Frame{errFrame(fr.Seq, fmt.Sprintf("daemon: %v", err))}
 	}
 	e.daemon = d
-	e.recorded.Meta = meta
+	e.meta = meta
 	e.started = true
 	// The hello ack carries the admission discipline so clients can refuse
 	// a doomed pairing (an open-loop client cannot fill an ordered server's
@@ -364,7 +377,11 @@ func (e *Engine) admit(seq uint64, ev serve.Event, epoch int) Frame {
 		e.waits = append(e.waits, 0)
 	}
 	e.daemon.Ingest(ev)
-	e.recorded.Events = append(e.recorded.Events, ev)
+	if n := len(e.recorded); n == 0 || len(e.recorded[n-1]) == recordChunk {
+		e.recorded = append(e.recorded, make([]serve.Event, 0, recordChunk))
+	}
+	last := &e.recorded[len(e.recorded)-1]
+	*last = append(*last, ev)
 	e.stats.Admitted++
 	return Frame{Type: MsgAck, Seq: seq, Body: AckBody(StatusAccepted, "")}
 }
@@ -389,7 +406,7 @@ func (e *Engine) handleFinish(fr Frame) []Frame {
 	if !e.finished {
 		// Drain through the horizon: the script's slot count, or one past
 		// the latest buffered event, whichever is later.
-		horizon := e.recorded.Meta.NumSlots
+		horizon := e.meta.NumSlots
 		for i := range e.buffered {
 			if s := e.buffered[i].ev.Slot + 1; s > horizon {
 				horizon = s

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -76,6 +77,12 @@ func (s *Server) Serve() error {
 	}
 }
 
+// handleConn serves one connection. Responses are encoded straight into the
+// connection's write buffer, which is flushed only when a peer may be
+// waiting on it: after a control frame (hello, tick, finish), whose answer
+// peers block on and time, and whenever the read buffer holds no complete
+// next frame, so the server never blocks reading with acks unsent. A burst
+// of event frames therefore costs one write, not one per frame.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -86,7 +93,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				// Best-effort decode diagnostic; the conn dies either way.
-				bw.Write(Encode(errFrame(0, err.Error())))
+				writeFrame(bw, errFrame(0, err.Error()))
 				bw.Flush()
 			}
 			return
@@ -99,14 +106,36 @@ func (s *Server) handleConn(conn net.Conn) {
 		resps := s.engine.HandleFrame(fr)
 		s.mu.Unlock()
 		for i := range resps {
-			if _, err := bw.Write(Encode(resps[i])); err != nil {
+			if err := writeFrame(bw, resps[i]); err != nil {
 				return
 			}
+		}
+		if !isControl(fr.Type) && frameBuffered(br) {
+			continue
 		}
 		if err := bw.Flush(); err != nil {
 			return
 		}
 	}
+}
+
+// writeFrame encodes a frame into the writer's free buffer space and writes
+// it; nothing is allocated unless the frame outgrows that space.
+func writeFrame(bw *bufio.Writer, f Frame) error {
+	_, err := bw.Write(appendFrame(bw.AvailableBuffer(), f))
+	return err
+}
+
+// isControl reports whether a client frame is one peers wait on.
+func isControl(t byte) bool { return t == MsgHello || t == MsgTick || t == MsgFinish }
+
+// frameBuffered reports whether br already holds a complete next frame, so
+// reading it cannot block. A malformed or oversized length prefix reports
+// false: the next read fails, and the responses so far go out first.
+func frameBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered()) // never blocks: at most Buffered bytes
+	n, k := binary.Uvarint(b)
+	return k > 0 && n > 0 && n <= MaxFrame && uint64(len(b)-k) >= n
 }
 
 // Close shuts the listener and waits for every connection goroutine to

@@ -99,14 +99,32 @@ type Frame struct {
 
 // Encode renders the frame with its length prefix, ready for the wire.
 func Encode(f Frame) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(f.Body))
-	payload = append(payload, f.Type)
-	payload = binary.AppendUvarint(payload, f.Seq)
-	payload = binary.AppendUvarint(payload, f.Attempt)
-	payload = append(payload, f.Body...)
-	out := make([]byte, 0, binary.MaxVarintLen64+len(payload))
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	return append(out, payload...)
+	return appendFrame(make([]byte, 0, binary.MaxVarintLen64+payloadLen(f)), f)
+}
+
+// payloadLen is the length of a frame's payload: everything after the
+// length prefix.
+func payloadLen(f Frame) int {
+	return 1 + uvarintLen(f.Seq) + uvarintLen(f.Attempt) + len(f.Body)
+}
+
+// appendFrame appends the frame's wire form (length prefix, then payload)
+// to dst and returns the extended slice.
+func appendFrame(dst []byte, f Frame) []byte {
+	dst = binary.AppendUvarint(dst, uint64(payloadLen(f)))
+	dst = append(dst, f.Type)
+	dst = binary.AppendUvarint(dst, f.Seq)
+	dst = binary.AppendUvarint(dst, f.Attempt)
+	return append(dst, f.Body...)
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // ParsePayload decodes a frame payload (the bytes after the length prefix).
